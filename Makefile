@@ -49,15 +49,17 @@ bench-chrysalis:
 	       END { printf("\n}\n") }' > $(BENCH_JSON)
 	@cat $(BENCH_JSON)
 
-# Hot-path kernel snapshot: each flat/frozen kernel benchmarked
-# against the map-based reference it replaced, recorded as
-# BENCH_kernels.json so the speedups (and any regressions) show up in
-# review diffs. Same awk JSON conversion as bench-chrysalis.
-KERNEL_BENCH = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet
+# Hot-path kernel snapshot: each flat/frozen Chrysalis kernel
+# benchmarked against the map-based reference it replaced, plus the
+# Jellyfish counting and Inchworm stages on the drosophila preset,
+# recorded as BENCH_kernels.json so the speedups (and any regressions)
+# show up in review diffs. Same awk JSON conversion as bench-chrysalis.
+KERNEL_BENCH = HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead|CountTableGet|CountPacked|InchwormRun
 BENCH_KERNELS_JSON ?= BENCH_kernels.json
 bench-kernels:
 	{ $(GO) test -run '^$$' -bench 'Benchmark(HarvestWelds|ScanContigForWelds|BuildContigKmerIndex|AssignRead)' -benchmem -benchtime 1s ./internal/chrysalis/ ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCountTableGet' -benchmem -benchtime 1s ./internal/jellyfish/ ; } \
+	  $(GO) test -run '^$$' -bench 'Benchmark(CountTableGet|CountPacked)' -benchmem -benchtime 1s ./internal/jellyfish/ ; \
+	  $(GO) test -run '^$$' -bench 'BenchmarkInchwormRun' -benchmem -benchtime 1s ./internal/inchworm/ ; } \
 	| awk 'BEGIN { printf("{\n") } \
 	       /^Benchmark/ { if (n++) printf(",\n"); \
 	         printf("  \"%s\": {\"iterations\": %s", $$1, $$2); \
@@ -159,7 +161,7 @@ verify: build lint-ascii
 	$(GO) test -race ./internal/seq/... ./internal/dsk/...
 	$(GO) test -race ./internal/fm/... ./internal/bowtie/...
 	$(GO) test -run '^$$' -bench 'Chrysalis(WithFaultLayer|TraceRecorder)' -benchtime 1x .
-	$(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_BENCH))' -benchtime 1x ./internal/chrysalis/ ./internal/jellyfish/
+	$(GO) test -run '^$$' -bench 'Benchmark($(KERNEL_BENCH))' -benchtime 1x ./internal/chrysalis/ ./internal/jellyfish/ ./internal/inchworm/
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineTail' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkPipelineStreaming' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'BenchmarkShardScaling' -benchtime 1x .

@@ -59,11 +59,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		table := jellyfish.NewCountTable(*k, 4)
-		for _, e := range entries {
-			table.Add(e.Kmer, e.Count)
-		}
-		if err := jellyfish.DumpFile(*out, table, *min); err != nil {
+		if err := jellyfish.DumpFile(*out, jellyfish.FromEntries(*k, entries), *min); err != nil {
 			log.Fatal(err)
 		}
 		log.Printf("%d reads -> %d distinct k-mers via %d partitions (peak %d in memory) -> %s",

@@ -89,7 +89,7 @@ func TestGraphFromFastaWeldsSharedContigs(t *testing.T) {
 func TestGraphFromFastaNoSupportNoWeld(t *testing.T) {
 	sc := buildScenario(t, 2)
 	// An empty read table ⇒ no window is supported ⇒ no welds.
-	empty := jellyfish.NewCountTable(sc.k, 4)
+	empty := jellyfish.NewCountTable(sc.k)
 	res, err := GraphFromFasta(sc.contigs, empty, 1, GFFOptions{K: sc.k, ThreadsPerRank: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestGraphFromFastaValidation(t *testing.T) {
 	if _, err := GraphFromFasta(sc.contigs, nil, 1, GFFOptions{K: sc.k}); err == nil {
 		t.Error("accepted nil read table")
 	}
-	wrongK := jellyfish.NewCountTable(sc.k+1, 4)
+	wrongK := jellyfish.NewCountTable(sc.k + 1)
 	if _, err := GraphFromFasta(sc.contigs, wrongK, 1, GFFOptions{K: sc.k}); err == nil {
 		t.Error("accepted mismatched k tables")
 	}

@@ -600,7 +600,7 @@ func TestHarvestWeldsZeroAllocs(t *testing.T) {
 	ix := buildContigKmerIndex(sc.contigs, sc.k)
 	// Starve support so the full match/RC/probe pipeline runs but no
 	// weld string is ever emitted.
-	empty := jellyfish.NewCountTable(sc.k, 4).Freeze()
+	empty := jellyfish.NewCountTable(sc.k).Freeze()
 	opt := GFFOptions{K: sc.k, MinWeldSupport: 2, MaxWeldsPerContig: 100}
 	scr := new(weldScratch)
 	var contig []byte

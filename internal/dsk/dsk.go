@@ -52,16 +52,6 @@ type Stats struct {
 	Partitions     int
 }
 
-// mix spreads k-mer bits across partitions (splitmix64 finaliser).
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // Count streams the reads' k-mers into partition files and counts each
 // partition independently, returning entries sorted by k-mer value
 // (the same order jellyfish.CountTable.Entries uses).
@@ -127,7 +117,7 @@ func countWith(opt Options, n int, iterOf func(i int) kmerIter) ([]jellyfish.Ent
 			if opt.Canonical {
 				m, _ = m.Canonical(opt.K)
 			}
-			p := int(mix(uint64(m)) % uint64(opt.Partitions))
+			p := int(kmer.Mix(uint64(m)) % uint64(opt.Partitions))
 			binary.LittleEndian.PutUint64(buf[:], uint64(m))
 			if _, err := writers[p].Write(buf[:]); err != nil {
 				closeAll(files)

@@ -6,8 +6,9 @@
 package inchworm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"gotrinity/internal/jellyfish"
 	"gotrinity/internal/kmer"
@@ -47,27 +48,27 @@ type Stats struct {
 }
 
 // Assembler holds the k-mer dictionary (the "hash table object" that
-// dominates Inchworm's memory footprint, per §II-A).
+// dominates Inchworm's memory footprint, per §II-A) as one flat table:
+// index maps each kept k-mer to a dense id, and ids follow seed order,
+// so seeds[id] holds its count and used[id] whether a contig has
+// consumed it.
 type Assembler struct {
-	opt    Options
-	counts map[kmer.Kmer]uint32
-	used   map[kmer.Kmer]bool
-	seeds  []jellyfish.Entry
-	stats  Stats
+	opt   Options
+	index *kmer.FlatSet
+	seeds []jellyfish.Entry // kept k-mers by decreasing count, then increasing k-mer
+	used  []bool
+	stats Stats
 }
 
 // New builds an assembler from a Jellyfish dictionary. Entries below
 // MinKmerCount are discarded ("removing likely error-containing
 // k-mers"), and the rest are sorted in decreasing order of abundance.
+// A k-mer listed twice among the kept entries is an error.
 func New(entries []jellyfish.Entry, opt Options) (*Assembler, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	a := &Assembler{
-		opt:    opt,
-		counts: make(map[kmer.Kmer]uint32, len(entries)),
-		used:   make(map[kmer.Kmer]bool, len(entries)),
-	}
+	a := &Assembler{opt: opt}
 	a.stats.KmersIn = len(entries)
 	if opt.Threads > 1 {
 		// Threaded hash construction, as the original Inchworm builds
@@ -81,26 +82,29 @@ func New(entries []jellyfish.Entry, opt Options) (*Assembler, error) {
 				}
 			})
 		for _, part := range parts {
-			for _, e := range part {
-				a.counts[e.Kmer] = e.Count
-				a.seeds = append(a.seeds, e)
-			}
+			a.seeds = append(a.seeds, part...)
 		}
 	} else {
 		for _, e := range entries {
 			if int(e.Count) >= opt.MinKmerCount {
-				a.counts[e.Kmer] = e.Count
 				a.seeds = append(a.seeds, e)
 			}
 		}
 	}
 	a.stats.KmersKept = len(a.seeds)
-	sort.Slice(a.seeds, func(i, j int) bool {
-		if a.seeds[i].Count != a.seeds[j].Count {
-			return a.seeds[i].Count > a.seeds[j].Count
+	slices.SortFunc(a.seeds, func(x, y jellyfish.Entry) int {
+		if x.Count != y.Count {
+			return cmp.Compare(y.Count, x.Count)
 		}
-		return a.seeds[i].Kmer < a.seeds[j].Kmer
+		return cmp.Compare(x.Kmer, y.Kmer)
 	})
+	a.index = kmer.NewFlatSet(len(a.seeds))
+	for i, e := range a.seeds {
+		if int(a.index.Add(e.Kmer)) != i {
+			return nil, fmt.Errorf("inchworm: k-mer %s listed twice in the dictionary", e.Kmer.Decode(opt.K)) // ascii-ok: error message
+		}
+	}
+	a.used = make([]bool, len(a.seeds))
 	return a, nil
 }
 
@@ -108,11 +112,11 @@ func New(entries []jellyfish.Entry, opt Options) (*Assembler, error) {
 // contigs as FASTA-ready records named "contigN".
 func (a *Assembler) Assemble() []seq.Record {
 	var contigs []seq.Record
-	for _, s := range a.seeds {
-		if a.used[s.Kmer] {
+	for id, s := range a.seeds {
+		if a.used[id] {
 			continue
 		}
-		c := a.extend(s.Kmer)
+		c := a.extend(int32(id), s.Kmer)
 		if len(c) >= a.opt.MinContigLen {
 			contigs = append(contigs, seq.Record{
 				ID:   fmt.Sprintf("contig%d", len(contigs)),
@@ -129,23 +133,24 @@ func (a *Assembler) Assemble() []seq.Record {
 // Stats returns assembly statistics; valid after Assemble.
 func (a *Assembler) Stats() Stats { return a.stats }
 
-// extend grows a contig from seed in both directions, marking every
-// consumed k-mer as used so each k-mer seeds at most one contig.
-func (a *Assembler) extend(seedKmer kmer.Kmer) []byte {
+// extend grows a contig from the seed k-mer with the given id in both
+// directions, marking every consumed k-mer as used so each k-mer seeds
+// at most one contig.
+func (a *Assembler) extend(seedID int32, seedKmer kmer.Kmer) []byte {
 	k := a.opt.K
-	a.used[seedKmer] = true
+	a.used[seedID] = true
 
 	// Extend rightwards: repeatedly find the most abundant unused
 	// k-mer whose (k-1)-prefix equals the current (k-1)-suffix.
 	var right []byte
 	cur := seedKmer
 	for {
-		next, base, ok := a.bestExtension(cur, true)
+		next, id, base, ok := a.bestExtension(cur, true)
 		if !ok {
 			break
 		}
 		right = append(right, base)
-		a.used[next] = true
+		a.used[id] = true
 		cur = next
 	}
 
@@ -153,12 +158,12 @@ func (a *Assembler) extend(seedKmer kmer.Kmer) []byte {
 	var left []byte // collected in reverse order
 	cur = seedKmer
 	for {
-		next, base, ok := a.bestExtension(cur, false)
+		next, id, base, ok := a.bestExtension(cur, false)
 		if !ok {
 			break
 		}
 		left = append(left, base)
-		a.used[next] = true
+		a.used[id] = true
 		cur = next
 	}
 
@@ -173,10 +178,11 @@ func (a *Assembler) extend(seedKmer kmer.Kmer) []byte {
 
 // bestExtension probes the four possible single-base extensions of cur
 // (to the right if fwd, else to the left) and returns the unused
-// candidate with the highest count.
-func (a *Assembler) bestExtension(cur kmer.Kmer, fwd bool) (kmer.Kmer, byte, bool) {
+// candidate with the highest count, and its id.
+func (a *Assembler) bestExtension(cur kmer.Kmer, fwd bool) (kmer.Kmer, int32, byte, bool) {
 	k := a.opt.K
 	var bestK kmer.Kmer
+	var bestID int32
 	var bestBase byte
 	var bestCount uint32
 	found := false
@@ -188,15 +194,16 @@ func (a *Assembler) bestExtension(cur kmer.Kmer, fwd bool) (kmer.Kmer, byte, boo
 			cand = cur.PrependBase(code, k)
 		}
 		a.stats.ExtensionOps++
-		c, ok := a.counts[cand]
-		if !ok || a.used[cand] {
+		id, ok := a.index.Lookup(cand)
+		if !ok || a.used[id] {
 			continue
 		}
+		c := a.seeds[id].Count
 		if !found || c > bestCount || (c == bestCount && cand < bestK) {
-			bestK, bestBase, bestCount, found = cand, seq.IndexBase(code), c, true
+			bestK, bestID, bestBase, bestCount, found = cand, id, seq.IndexBase(code), c, true
 		}
 	}
-	return bestK, bestBase, found
+	return bestK, bestID, bestBase, found
 }
 
 // Run is the full Inchworm stage: count dictionary in, contigs out.

@@ -1,7 +1,10 @@
 package inchworm
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -216,3 +219,173 @@ func TestThreadedConstructionMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// oracleRun is the map-based Inchworm the flat dictionary replaced:
+// counts and used are Go maps probed on every extension step. The
+// flat Assembler must reproduce its contigs, ids and Stats exactly.
+func oracleRun(entries []jellyfish.Entry, opt Options) ([]seq.Record, Stats) {
+	if err := opt.normalize(); err != nil {
+		panic(err)
+	}
+	k := opt.K
+	counts := map[kmer.Kmer]uint32{}
+	used := map[kmer.Kmer]bool{}
+	var seeds []jellyfish.Entry
+	st := Stats{KmersIn: len(entries)}
+	for _, e := range entries {
+		if int(e.Count) >= opt.MinKmerCount {
+			counts[e.Kmer] = e.Count
+			seeds = append(seeds, e)
+		}
+	}
+	st.KmersKept = len(seeds)
+	sort.Slice(seeds, func(i, j int) bool {
+		if seeds[i].Count != seeds[j].Count {
+			return seeds[i].Count > seeds[j].Count
+		}
+		return seeds[i].Kmer < seeds[j].Kmer
+	})
+	best := func(cur kmer.Kmer, fwd bool) (kmer.Kmer, byte, bool) {
+		var bestK kmer.Kmer
+		var bestBase byte
+		var bestCount uint32
+		found := false
+		for code := uint64(0); code < 4; code++ {
+			cand := cur.PrependBase(code, k)
+			if fwd {
+				cand = cur.AppendBase(code, k)
+			}
+			st.ExtensionOps++
+			c, ok := counts[cand]
+			if !ok || used[cand] {
+				continue
+			}
+			if !found || c > bestCount || (c == bestCount && cand < bestK) {
+				bestK, bestBase, bestCount, found = cand, seq.IndexBase(code), c, true
+			}
+		}
+		return bestK, bestBase, found
+	}
+	var contigs []seq.Record
+	for _, s := range seeds {
+		if used[s.Kmer] {
+			continue
+		}
+		used[s.Kmer] = true
+		var right, left []byte
+		for cur := s.Kmer; ; {
+			next, base, ok := best(cur, true)
+			if !ok {
+				break
+			}
+			right, used[next], cur = append(right, base), true, next
+		}
+		for cur := s.Kmer; ; {
+			next, base, ok := best(cur, false)
+			if !ok {
+				break
+			}
+			left, used[next], cur = append(left, base), true, next
+		}
+		var c []byte
+		for i := len(left) - 1; i >= 0; i-- {
+			c = append(c, left[i])
+		}
+		c = append(append(c, s.Kmer.Decode(k)...), right...)
+		if len(c) >= opt.MinContigLen {
+			contigs = append(contigs, seq.Record{
+				ID:   fmt.Sprintf("contig%d", len(contigs)),
+				Desc: fmt.Sprintf("len=%d", len(c)),
+				Seq:  c,
+			})
+			st.Contigs++
+			st.BasesOut += len(c)
+		}
+	}
+	return contigs, st
+}
+
+// TestRunMatchesMapOracle pins the flat dictionary against the map
+// oracle on shuffled dictionaries with heavy count ties: dense random
+// dictionaries at small k (many branching extensions) and read-derived
+// dictionaries at k=21, serial and threaded construction.
+func TestRunMatchesMapOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var cases []struct {
+		k       int
+		entries []jellyfish.Entry
+	}
+	for _, k := range []int{1, 3, 5, 8} {
+		for trial := 0; trial < 4; trial++ {
+			space := 1 << (2 * k)
+			n := 1 + rng.Intn(min(space, 600))
+			seen := map[kmer.Kmer]bool{}
+			var entries []jellyfish.Entry
+			for len(entries) < n {
+				m := kmer.Kmer(rng.Intn(space))
+				if !seen[m] {
+					seen[m] = true
+					entries = append(entries, jellyfish.Entry{Kmer: m, Count: uint32(1 + rng.Intn(4))})
+				}
+			}
+			cases = append(cases, struct {
+				k       int
+				entries []jellyfish.Entry
+			}{k, entries})
+		}
+	}
+	for _, seed := range []int64{3, 4} {
+		dict := dictFromReads(t, rnaseq.Generate(rnaseq.Tiny(seed)).Reads, 21)
+		rng.Shuffle(len(dict), func(i, j int) { dict[i], dict[j] = dict[j], dict[i] })
+		cases = append(cases, struct {
+			k       int
+			entries []jellyfish.Entry
+		}{21, dict})
+	}
+	for i, c := range cases {
+		for _, opt := range []Options{
+			{K: c.k, MinKmerCount: 1, MinContigLen: c.k},
+			{K: c.k, MinKmerCount: 2},
+			{K: c.k, MinKmerCount: 2, Threads: 3},
+		} {
+			want, wantSt := oracleRun(c.entries, opt)
+			got, gotSt, err := Run(c.entries, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) || gotSt != wantSt {
+				t.Fatalf("case %d k=%d %+v: %d contigs %+v, oracle %d contigs %+v",
+					i, c.k, opt, len(got), gotSt, len(want), wantSt)
+			}
+		}
+	}
+}
+
+func TestRejectsDuplicateKmer(t *testing.T) {
+	m, _ := kmer.Encode([]byte("ACGTA"), 5)
+	entries := []jellyfish.Entry{{Kmer: m, Count: 3}, {Kmer: m, Count: 2}}
+	if _, _, err := Run(entries, Options{K: 5}); err == nil {
+		t.Error("accepted a k-mer listed twice")
+	}
+}
+
+// BenchmarkInchwormRun assembles the k=25 dictionary of the drosophila
+// preset, the Inchworm step of a default run.
+func BenchmarkInchwormRun(b *testing.B) {
+	d := rnaseq.Generate(rnaseq.Drosophila(1))
+	table, err := jellyfish.CountPacked(seq.PackRecords(d.Reads), jellyfish.Options{K: 25})
+	if err != nil {
+		b.Fatal(err)
+	}
+	entries := table.Entries(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		contigs, _, err := Run(entries, Options{K: 25})
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = contigs
+	}
+}
+
+var benchSink []seq.Record

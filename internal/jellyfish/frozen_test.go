@@ -9,7 +9,7 @@ import (
 )
 
 // TestFreezeDifferential pins the frozen flat table against the live
-// sharded table it snapshots: every counted k-mer and a spray of
+// count table it snapshots: every counted k-mer and a spray of
 // absent ones must Get identical counts, stranded and canonical, on
 // randomized reads that include ambiguous bases and empty sequences.
 func TestFreezeDifferential(t *testing.T) {
@@ -54,7 +54,7 @@ func TestFreezeDifferential(t *testing.T) {
 }
 
 func TestFreezeEmptyTable(t *testing.T) {
-	f := NewCountTable(21, 4).Freeze()
+	f := NewCountTable(21).Freeze()
 	if f.Distinct() != 0 || f.Total() != 0 {
 		t.Fatalf("empty freeze: distinct=%d total=%d", f.Distinct(), f.Total())
 	}
@@ -63,20 +63,19 @@ func TestFreezeEmptyTable(t *testing.T) {
 	}
 }
 
-// BenchmarkCountTableGet compares the loop-1 probe cost of the sharded
-// mutex-guarded table against its frozen flat snapshot, with all cores
-// probing concurrently — the access pattern of weldSupport under the
-// hybrid rank goroutines. The working set is sized cache-resident so
-// the benchmark isolates per-probe structural overhead (lock + map
-// traversal vs one hash + one interleaved-slot load) rather than DRAM
-// latency, mirroring weldSupport's hot-window locality: consecutive
-// weld candidates re-probe overlapping window k-mers. This is the ≥5x
-// acceptance benchmark of the zero-allocation kernel PR;
+// BenchmarkCountTableGet compares the loop-1 probe cost of the
+// partitioned count table against its frozen flat snapshot, with all
+// cores probing concurrently — the access pattern of weldSupport under
+// the hybrid rank goroutines. The working set is sized cache-resident
+// so the benchmark isolates per-probe structural overhead (partition
+// select + split key/count arrays vs one interleaved-slot load) rather
+// than DRAM latency, mirroring weldSupport's hot-window locality:
+// consecutive weld candidates re-probe overlapping window k-mers.
 // `make bench-kernels` snapshots it into BENCH_kernels.json.
 func BenchmarkCountTableGet(b *testing.B) {
 	const k = 21
 	rng := rand.New(rand.NewSource(3))
-	table := NewCountTable(k, 64)
+	table := NewCountTable(k)
 	probes := make([]kmer.Kmer, 1<<12)
 	for i := range probes {
 		m := kmer.Kmer(rng.Uint64() & ((1 << (2 * k)) - 1))
@@ -86,7 +85,7 @@ func BenchmarkCountTableGet(b *testing.B) {
 		}
 	}
 	frozen := table.Freeze()
-	b.Run("sharded", func(b *testing.B) {
+	b.Run("table", func(b *testing.B) {
 		b.RunParallel(func(pb *testing.PB) {
 			var sink uint32
 			i := 0

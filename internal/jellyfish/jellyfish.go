@@ -1,20 +1,24 @@
 // Package jellyfish is the k-mer counting stage of the pipeline,
 // mirroring the role of Jellyfish in Trinity: it counts canonical (or
-// stranded) k-mers across millions of reads using a sharded concurrent
-// hash table, and dumps the counts in the text format consumed by
-// Inchworm ("count kmer" per line, like `jellyfish dump -c`).
+// stranded) k-mers across millions of reads by partition-then-count
+// into flat open-addressing tables, and dumps the counts in the text
+// format consumed by Inchworm ("count kmer" per line, like
+// `jellyfish dump -c`).
 package jellyfish
 
 import (
 	"bufio"
+	"cmp"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gotrinity/internal/kmer"
 	"gotrinity/internal/seq"
@@ -24,9 +28,7 @@ import (
 type Options struct {
 	K         int  // k-mer length (1..31)
 	Canonical bool // count k-mer and reverse complement together
-	MinCount  int  // drop k-mers rarer than this at dump time (error filter)
 	Threads   int  // worker goroutines; 0 means GOMAXPROCS
-	Shards    int  // hash shards; 0 means 4×threads rounded up to pow2
 }
 
 func (o *Options) normalize() error {
@@ -36,84 +38,66 @@ func (o *Options) normalize() error {
 	if o.Threads <= 0 {
 		o.Threads = runtime.GOMAXPROCS(0)
 	}
-	if o.MinCount <= 0 {
-		o.MinCount = 1
-	}
-	if o.Shards <= 0 {
-		o.Shards = nextPow2(4 * o.Threads)
-	} else {
-		o.Shards = nextPow2(o.Shards)
-	}
 	return nil
 }
 
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
+// partBits sets the partition count of a CountTable, 2^partBits.
+const partBits = 8
 
-// CountTable holds k-mer counts sharded by hash so that independent
-// goroutines rarely contend on the same lock.
+// CountTable holds k-mer counts in 2^partBits flat open-addressing
+// partitions. A k-mer's partition is its leading partBits bits, so
+// the partitions are already in k-mer order and each can be counted,
+// sorted or frozen on its own. Count fills the partitions from
+// concurrent workers that each own whole partitions; Add and Get are
+// for single-goroutine builders and for readers once counting is done.
 type CountTable struct {
-	K      int
-	shards []shard
+	K     int
+	top   uint // 64-2K: shifts a k-mer's first base to the word's top bits
+	parts [1 << partBits]partition
+}
+
+// partition is one linear-probing table at ≤ 2/3 load. keys holds
+// (kmer<<1)|1, as in kmer.FlatSet, so the zero word marks an empty
+// slot even for the all-A k-mer; counts is parallel to keys.
+type partition struct {
+	keys   []uint64
+	counts []uint32
 	mask   uint64
+	n      int
 }
 
-type shard struct {
-	mu sync.Mutex
-	m  map[kmer.Kmer]uint32
-}
+const minPartSlots = 16
 
-// NewCountTable allocates an empty table with the given k and shard
-// count (rounded to a power of two).
-func NewCountTable(k, shards int) *CountTable {
-	shards = nextPow2(shards)
-	t := &CountTable{K: k, shards: make([]shard, shards), mask: uint64(shards - 1)}
-	for i := range t.shards {
-		t.shards[i].m = make(map[kmer.Kmer]uint32)
+// NewCountTable allocates an empty table for k-mers of length k.
+func NewCountTable(k int) *CountTable {
+	t := &CountTable{K: k, top: uint(64 - 2*k)}
+	for p := range t.parts {
+		t.parts[p].resize(minPartSlots)
 	}
 	return t
 }
 
-// mix is a 64-bit finaliser (splitmix64) spreading k-mer bits across
-// shards.
-func mix(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
+// partOf returns m's partition index: its leading partBits bits, with
+// k-mers shorter than partBits/2 bases padded by zero bits.
+func (t *CountTable) partOf(m kmer.Kmer) uint64 {
+	return uint64(m) << t.top >> (64 - partBits)
 }
 
-// Add increments the count of m by delta.
+// Add increments the count of m by delta. Not safe for concurrent use.
 func (t *CountTable) Add(m kmer.Kmer, delta uint32) {
-	s := &t.shards[mix(uint64(m))&t.mask]
-	s.mu.Lock()
-	s.m[m] += delta
-	s.mu.Unlock()
+	t.parts[t.partOf(m)].add(m, delta)
 }
 
 // Get returns the count of m.
 func (t *CountTable) Get(m kmer.Kmer) uint32 {
-	s := &t.shards[mix(uint64(m))&t.mask]
-	s.mu.Lock()
-	c := s.m[m]
-	s.mu.Unlock()
-	return c
+	return t.parts[t.partOf(m)].get(m)
 }
 
 // Distinct returns the number of distinct k-mers stored.
 func (t *CountTable) Distinct() int {
 	n := 0
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		n += len(t.shards[i].m)
-		t.shards[i].mu.Unlock()
+	for p := range t.parts {
+		n += t.parts[p].n
 	}
 	return n
 }
@@ -121,23 +105,103 @@ func (t *CountTable) Distinct() int {
 // Total returns the total number of k-mer occurrences counted.
 func (t *CountTable) Total() uint64 {
 	var n uint64
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		for _, c := range t.shards[i].m {
+	for p := range t.parts {
+		for _, c := range t.parts[p].counts {
 			n += uint64(c)
 		}
-		t.shards[i].mu.Unlock()
 	}
 	return n
 }
 
+func (p *partition) add(m kmer.Kmer, delta uint32) {
+	key := uint64(m)<<1 | 1
+	i := kmer.Mix(uint64(m)) & p.mask
+	for {
+		switch p.keys[i] {
+		case key:
+			p.counts[i] += delta
+			return
+		case 0:
+			if 3*(p.n+1) > 2*len(p.keys) {
+				p.resize(2 * len(p.keys))
+				p.add(m, delta)
+				return
+			}
+			p.keys[i], p.counts[i] = key, delta
+			p.n++
+			return
+		}
+		i = (i + 1) & p.mask
+	}
+}
+
+func (p *partition) get(m kmer.Kmer) uint32 {
+	key := uint64(m)<<1 | 1
+	i := kmer.Mix(uint64(m)) & p.mask
+	for {
+		switch p.keys[i] {
+		case key:
+			return p.counts[i]
+		case 0:
+			return 0
+		}
+		i = (i + 1) & p.mask
+	}
+}
+
+// resize re-places every key into a table of the given power-of-two
+// slot count.
+func (p *partition) resize(slots int) {
+	keys, counts := p.keys, p.counts
+	p.keys = make([]uint64, slots)
+	p.counts = make([]uint32, slots)
+	p.mask = uint64(slots - 1)
+	for i, key := range keys {
+		if key == 0 {
+			continue
+		}
+		j := kmer.Mix(key>>1) & p.mask
+		for p.keys[j] != 0 {
+			j = (j + 1) & p.mask
+		}
+		p.keys[j], p.counts[j] = key, counts[i]
+	}
+}
+
+// appendEntries appends the partition's entries with count ≥ minCount.
+func (p *partition) appendEntries(out []Entry, minCount int) []Entry {
+	for i, key := range p.keys {
+		if key != 0 && int(p.counts[i]) >= minCount {
+			out = append(out, Entry{kmer.Kmer(key >> 1), p.counts[i]})
+		}
+	}
+	return out
+}
+
+// forEachPart runs fn on every partition index, handing whole
+// partitions to workers goroutines from an atomic counter.
+func forEachPart(workers int, fn func(p int)) {
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for p := int(next.Add(1) - 1); p < 1<<partBits; p = int(next.Add(1) - 1) {
+				fn(p)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // Frozen is an immutable, flat, open-addressing snapshot of a
-// CountTable. Get is a lock-free linear probe — no shard mutex, no map
-// header chasing — which is what the Chrysalis welding loops need:
-// weldSupport issues one or two Get probes per window position across
-// every candidate weld, so the sharded table's per-probe Lock/Unlock
-// dominated loop 1's wall clock. Freeze once after counting completes,
-// then share the Frozen table across any number of reader goroutines.
+// CountTable with one interleaved key/count slot array. Get is a
+// wait-free linear probe that touches one cache line per step, which
+// is what the Chrysalis welding loops need: weldSupport issues one or
+// two Get probes per window position across every candidate weld.
+// Freeze once after counting completes, then share the Frozen table
+// across any number of reader goroutines.
 type Frozen struct {
 	K       int
 	entries []frozenEntry
@@ -155,36 +219,44 @@ type frozenEntry struct {
 	count uint32
 }
 
-// Freeze snapshots the table into a Frozen flat table. The snapshot is
-// taken shard by shard under each shard's lock; concurrent Adds that
-// race the freeze land in either the snapshot or only the live table,
-// so callers should freeze only after counting has completed.
-func (t *CountTable) Freeze() *Frozen {
-	distinct := t.Distinct()
+// newFrozen allocates an empty snapshot sized for distinct k-mers at
+// ≤ 2/3 load.
+func newFrozen(k, distinct int) *Frozen {
 	slots := 16
 	shift := uint(60)
 	for slots < 3*distinct/2+1 {
 		slots <<= 1
 		shift--
 	}
-	f := &Frozen{
-		K:       t.K,
+	return &Frozen{
+		K:       k,
 		entries: make([]frozenEntry, slots),
 		mask:    uint64(slots - 1),
 		shift:   shift,
 		n:       distinct,
 	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for m, c := range s.m {
-			j := (uint64(m) * fibMul) >> f.shift
-			for f.entries[j].key != 0 {
-				j = (j + 1) & f.mask
+}
+
+// insert places a tagged key known to be absent.
+func (f *Frozen) insert(key uint64, count uint32) {
+	j := ((key >> 1) * fibMul) >> f.shift
+	for f.entries[j].key != 0 {
+		j = (j + 1) & f.mask
+	}
+	f.entries[j] = frozenEntry{key, count}
+}
+
+// Freeze snapshots the table into a Frozen flat table. Call it only
+// after counting has completed.
+func (t *CountTable) Freeze() *Frozen {
+	f := newFrozen(t.K, t.Distinct())
+	for p := range t.parts {
+		part := &t.parts[p]
+		for i, key := range part.keys {
+			if key != 0 {
+				f.insert(key, part.counts[i])
 			}
-			f.entries[j] = frozenEntry{uint64(m)<<1 | 1, c}
 		}
-		s.mu.Unlock()
 	}
 	return f
 }
@@ -196,25 +268,9 @@ func (t *CountTable) Freeze() *Frozen {
 // k-mers; probe behaviour (and therefore Get results) is identical to
 // a Freeze of a table holding the same pairs.
 func FrozenFromEntries(k int, entries []Entry) *Frozen {
-	slots := 16
-	shift := uint(60)
-	for slots < 3*len(entries)/2+1 {
-		slots <<= 1
-		shift--
-	}
-	f := &Frozen{
-		K:       k,
-		entries: make([]frozenEntry, slots),
-		mask:    uint64(slots - 1),
-		shift:   shift,
-		n:       len(entries),
-	}
+	f := newFrozen(k, len(entries))
 	for _, e := range entries {
-		j := (uint64(e.Kmer) * fibMul) >> f.shift
-		for f.entries[j].key != 0 {
-			j = (j + 1) & f.mask
-		}
-		f.entries[j] = frozenEntry{uint64(e.Kmer)<<1 | 1, e.Count}
+		f.insert(uint64(e.Kmer)<<1|1, e.Count)
 	}
 	return f
 }
@@ -277,28 +333,52 @@ type Entry struct {
 }
 
 // Entries snapshots the table as a slice filtered by minCount, sorted
-// by k-mer value for deterministic output.
+// by k-mer value for deterministic output. Partitions are in k-mer
+// order, so each is filtered and sorted into its own segment of the
+// result in parallel.
 func (t *CountTable) Entries(minCount int) []Entry {
-	var out []Entry
-	for i := range t.shards {
-		t.shards[i].mu.Lock()
-		for m, c := range t.shards[i].m {
-			if int(c) >= minCount {
-				out = append(out, Entry{m, c})
+	var offs [1<<partBits + 1]int
+	workers := runtime.GOMAXPROCS(0)
+	forEachPart(workers, func(p int) {
+		n := 0
+		part := &t.parts[p]
+		for i, key := range part.keys {
+			if key != 0 && int(part.counts[i]) >= minCount {
+				n++
 			}
 		}
-		t.shards[i].mu.Unlock()
+		offs[p+1] = n
+	})
+	for p := 0; p < 1<<partBits; p++ {
+		offs[p+1] += offs[p]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Kmer < out[j].Kmer })
+	out := make([]Entry, offs[1<<partBits])
+	forEachPart(workers, func(p int) {
+		seg := t.parts[p].appendEntries(out[offs[p]:offs[p]:offs[p+1]], minCount)
+		slices.SortFunc(seg, func(a, b Entry) int { return cmp.Compare(a.Kmer, b.Kmer) })
+	})
 	return out
 }
 
 // FromEntries rebuilds a count table from dumped entries — the bridge
 // from external counters (dsk's disk-partitioned pass, LoadFile) into
-// the stages that consume a CountTable. The rebuilt table is
-// indistinguishable from one filled by Count over the same k-mers.
+// the stages that consume a CountTable. Each partition is sized for
+// its entries up front; a k-mer listed twice has its counts summed.
 func FromEntries(k int, entries []Entry) *CountTable {
-	t := NewCountTable(k, nextPow2(4*runtime.GOMAXPROCS(0)))
+	t := NewCountTable(k)
+	var sizes [1 << partBits]int
+	for _, e := range entries {
+		sizes[t.partOf(e.Kmer)]++
+	}
+	for p, n := range sizes {
+		slots := minPartSlots
+		for 2*slots < 3*n {
+			slots <<= 1
+		}
+		if slots > minPartSlots {
+			t.parts[p].resize(slots)
+		}
+	}
 	for _, e := range entries {
 		t.Add(e.Kmer, e.Count)
 	}
@@ -307,41 +387,101 @@ func FromEntries(k int, entries []Entry) *CountTable {
 
 // Count tallies the k-mers of every record into a fresh table.
 func Count(recs []seq.Record, opt Options) (*CountTable, error) {
+	return countRecords(recs, opt, batchKmers)
+}
+
+// countRecords is Count with the batch size as a parameter, so tests
+// can force many small batches.
+func countRecords(recs []seq.Record, opt Options, batch int) (*CountTable, error) {
+	return countWith(opt, batch, len(recs),
+		func(i int) int { return len(recs[i].Seq) },
+		func(lo, hi int, c *cutter) {
+			for i := lo; i < hi; i++ {
+				it := kmer.NewIterator(recs[i].Seq, c.k)
+				for {
+					m, _, ok := it.Next()
+					if !ok {
+						break
+					}
+					c.add(m)
+				}
+			}
+		})
+}
+
+// batchKmers bounds the k-mers cut per batch across all workers, so
+// the cut buffers stay near 1 MiB whatever the core count.
+const batchKmers = 1 << 17
+
+// cutter holds one worker's k-mers of the current batch, bucketed by
+// destination partition.
+type cutter struct {
+	t         *CountTable
+	k         int
+	canonical bool
+	bufs      [1 << partBits][]kmer.Kmer
+}
+
+func (c *cutter) add(m kmer.Kmer) {
+	if c.canonical {
+		m, _ = m.Canonical(c.k)
+	}
+	p := c.t.partOf(m)
+	c.bufs[p] = append(c.bufs[p], m)
+}
+
+// countWith is the partition-then-count loop Count and CountPacked
+// share. The n reads go in batches of about batch k-mers, each split
+// into one contiguous read range per worker by the upper bound
+// len-K+1 (readLen gives a read's length). In the cut phase, worker w
+// resets its buffers and cut appends the k-mers of its range to them.
+// In the count phase, workers claim whole partitions and add every
+// worker's buffer for that partition, so no partition is shared and no
+// lock is taken. The static split keeps the table's slot layout
+// deterministic for a given thread count.
+func countWith(opt Options, batch, n int, readLen func(i int) int, cut func(lo, hi int, c *cutter)) (*CountTable, error) {
 	if err := opt.normalize(); err != nil {
 		return nil, err
 	}
-	table := NewCountTable(opt.K, opt.Shards)
-	var wg sync.WaitGroup
-	work := make(chan int, opt.Threads)
-	for w := 0; w < opt.Threads; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range work {
-				countRecord(table, recs[idx].Seq, opt)
+	t := NewCountTable(opt.K)
+	workers := opt.Threads
+	cutters := make([]cutter, workers)
+	for w := range cutters {
+		cutters[w] = cutter{t: t, k: opt.K, canonical: opt.Canonical}
+	}
+	bounds := make([]int, workers+1)
+	per := max(1, batch/workers)
+	for i := 0; i < n; {
+		bounds[0] = i
+		for w := 1; w <= workers; w++ {
+			for got := 0; i < n && got < per; i++ {
+				got += max(0, readLen(i)-opt.K+1)
 			}
-		}()
-	}
-	for i := range recs {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-	return table, nil
-}
-
-func countRecord(table *CountTable, s []byte, opt Options) {
-	it := kmer.NewIterator(s, opt.K)
-	for {
-		m, _, ok := it.Next()
-		if !ok {
-			return
+			bounds[w] = i
 		}
-		if opt.Canonical {
-			m, _ = m.Canonical(opt.K)
+		var wg sync.WaitGroup
+		wg.Add(workers)
+		for w := range cutters {
+			go func() {
+				defer wg.Done()
+				c := &cutters[w]
+				for p := range c.bufs {
+					c.bufs[p] = c.bufs[p][:0]
+				}
+				cut(bounds[w], bounds[w+1], c)
+			}()
 		}
-		table.Add(m, 1)
+		wg.Wait()
+		forEachPart(workers, func(p int) {
+			part := &t.parts[p]
+			for w := range cutters {
+				for _, m := range cutters[w].bufs[p] {
+					part.add(m, 1)
+				}
+			}
+		})
 	}
+	return t, nil
 }
 
 // Dump writes the table as "count<TAB>kmer" lines (decreasing count,

@@ -83,7 +83,7 @@ func TestCountMatchesSerialReference(t *testing.T) {
 			ref[m]++
 		}
 	}
-	table, err := Count(recs, Options{K: k, Threads: 8, Shards: 16})
+	table, err := Count(recs, Options{K: k, Threads: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,9 +47,11 @@ func NewFlatSet(capacityHint int) *FlatSet {
 	}
 }
 
-// mixKmer is a splitmix64 finaliser spreading k-mer bits across the
-// probe sequence (the 2-bit packing leaves heavy low-bit structure).
-func mixKmer(x uint64) uint64 {
+// Mix is the splitmix64 finaliser every k-mer hash in the pipeline
+// uses: FlatSet probes, owner ranks, dsk disk partitions and the
+// jellyfish count partitions. The 2-bit packing leaves heavy low-bit
+// structure that a plain mask would turn into clustered probes.
+func Mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xbf58476d1ce4e5b9
 	x ^= x >> 27
@@ -76,7 +78,7 @@ func (s *FlatSet) Add(m Kmer) int32 {
 		s.grow()
 	}
 	key := uint64(m)<<1 | 1
-	i := mixKmer(uint64(m)) & s.mask
+	i := Mix(uint64(m)) & s.mask
 	for {
 		switch s.slots[i] {
 		case 0:
@@ -102,7 +104,7 @@ func (s *FlatSet) MemBytes() int64 { return int64(len(s.slots))*8 + int64(len(s.
 // Wait-free once the build phase is over.
 func (s *FlatSet) Lookup(m Kmer) (int32, bool) {
 	key := uint64(m)<<1 | 1
-	i := mixKmer(uint64(m)) & s.mask
+	i := Mix(uint64(m)) & s.mask
 	for {
 		switch s.slots[i] {
 		case 0:
@@ -146,7 +148,7 @@ func (s *FlatSet) grow() {
 		if key == 0 {
 			continue
 		}
-		j := mixKmer(key>>1) & s.mask
+		j := Mix(key>>1) & s.mask
 		for s.slots[j] != 0 {
 			j = (j + 1) & s.mask
 		}

@@ -5,12 +5,12 @@ package kmer
 // built on. Every rank computes the same owner for the same k-mer with
 // no communication, which is what makes aggregated remote lookups
 // routable and a dead owner's shard reconstructible by any survivor.
-// The splitmix64 finaliser (shared with FlatSet's probe hash) spreads
-// the 2-bit packing's low-bit structure so shards stay balanced even
-// for biologically skewed k-mer sets.
+// The splitmix64 finaliser Mix spreads the 2-bit packing's low-bit
+// structure so shards stay balanced even for biologically skewed k-mer
+// sets.
 func OwnerRank(m Kmer, worldSize int) int {
 	if worldSize <= 1 {
 		return 0
 	}
-	return int(mixKmer(uint64(m)) % uint64(worldSize))
+	return int(Mix(uint64(m)) % uint64(worldSize))
 }
